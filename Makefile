@@ -45,13 +45,16 @@ bench:
 bench-smoke: bench
 	$(GO) run ./cmd/hdbench -smoke
 
-# Short coverage-guided runs of the cq fuzz targets (seed corpora under
-# internal/cq/testdata/fuzz): parse→render→parse must round-trip and
-# CanonicalForm must be α-rename-invariant. 5s per target keeps the gate
-# fast; run with a longer -fuzztime locally when touching the parser.
+# Short coverage-guided runs of the fuzz targets: the cq targets (seed
+# corpora under internal/cq/testdata/fuzz) check that parse→render→parse
+# round-trips and CanonicalForm is α-rename-invariant; FuzzTableOps checks
+# the hashed table operations against nested-loop references. 5s per
+# target keeps the gate fast; run with a longer -fuzztime locally when
+# touching the parser or the hash kernels.
 fuzz-smoke:
 	$(GO) test ./internal/cq/ -fuzz FuzzParseQuery -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/cq/ -fuzz FuzzCanonicalForm -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/relation/ -fuzz FuzzTableOps -fuzztime 5s -run '^$$'
 
 # End-to-end smoke of the serving path: boot hdserve over the generated
 # serving database with sampled tracing and OTel file export, drive a 5s

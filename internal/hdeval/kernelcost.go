@@ -10,18 +10,25 @@ import (
 // (left-deep hash joins) and leapfrog (columnar triejoin) kernels are
 // priced against the per-edge row and distinct-count estimates the planner
 // extracted from its statistics snapshot, and the cheaper kernel runs. The
-// constants are calibrated against the E27/E29 benchmark measurements, and
-// the asymmetry they encode is stark: a row through a hash-join step costs
-// roughly an order of magnitude more than a cell through the counting-sort
-// encoder (string join keys, map inserts and the dedup projection pass,
-// against dense int32 sweeps), so leapfrog wins any bag large enough to
-// amortise its fixed per-bag setup — allocating the columnar buffers,
-// dictionaries and iterator state — while the chain keeps the tiny bags
-// where that setup dominates everything. Single-relation bags are priced
-// too (the chain pays a hash-dedup projection, leapfrog a sorted re-emit),
-// which is where the arity rule loses the most: it hardwired such bags to
-// the chain regardless of size. Without usable statistics the decision
-// falls back to the arity rule.
+// constants were calibrated against the E27/E29 benchmark measurements when
+// hash-join keys were byte strings: one string map insert or lookup per
+// build, probe and dedup row, about 450 ns per input row of a 100k ⋈ 100k
+// join. That made a row through a hash-join step roughly an order of
+// magnitude dearer than a cell through the counting-sort encoder, so
+// leapfrog wins any bag large enough to amortise its fixed per-bag setup —
+// allocating the columnar buffers, dictionaries and iterator state — while
+// the chain keeps the tiny bags where that setup dominates everything.
+// Single-relation bags are priced too (the chain pays a hash-dedup
+// projection, leapfrog a sorted re-emit), which is where the arity rule
+// loses the most: it hardwired such bags to the chain regardless of size.
+// Without usable statistics the decision falls back to the arity rule.
+//
+// Join keys are now integers (internal/relation/keyindex.go): the same
+// join costs about 65 ns per input row (BenchmarkTableJoin, 2-core Xeon VM,
+// go1.24.0), and a semijoin about 32 ns per row, so costHashRow over-prices
+// the chain. The constants are deliberately unchanged, which keeps every
+// auto decision as it was; recalibrating them from the benchmark ledger is
+// still pending.
 const (
 	// costHashRow prices one row through a hash join step (build, probe,
 	// emit, or the dedup projection), relative to costLfEncodeCell.

@@ -546,6 +546,18 @@ func BenchmarkMergeSemijoin(b *testing.B) {
 	})
 }
 
+// BenchmarkTableJoin is the hash join alone at scale: 100k ⋈ 100k rows on
+// one shared column, about one match per probe row.
+func BenchmarkTableJoin(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	tt := randomTable(rng, []int{0, 1}, 100000, 100000)
+	ut := randomTable(rng, []int{1, 2}, 100000, 100000)
+	b.ReportAllocs()
+	for b.Loop() {
+		tt.Join(ut)
+	}
+}
+
 func BenchmarkLeapfrogTriangle(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	n, dom := 3000, 300

@@ -128,12 +128,9 @@ func (db *Database) Clone() *Database {
 		out.dict[s] = v
 	}
 	for name, r := range db.rels {
-		c := &Relation{Name: r.Name, Arity: r.Arity, data: append([]Value(nil), r.data...)}
-		if r.index != nil {
-			c.index = make(map[string]bool, len(r.index))
-			for k, v := range r.index {
-				c.index[k] = v
-			}
+		c := &Relation{Name: r.Name, Arity: r.Arity, data: append([]Value(nil), r.data...), unit: r.unit}
+		if r.set != nil {
+			c.set = r.set.clone()
 		}
 		out.rels[name] = c
 	}
@@ -183,18 +180,21 @@ func (db *Database) ParseFacts(src string) error {
 	return nil
 }
 
-// Relation is a set of tuples of fixed arity, stored row-major.
+// Relation is a set of tuples of fixed arity, stored row-major. Add keeps
+// it a set — no two rows are equal — and the operations over it (Bind
+// first of all) rely on that.
 type Relation struct {
 	Name  string
 	Arity int
 	data  []Value
-	index map[string]bool // tuple dedup
+	set   *keyIndex // the tuples, for dedup on Add; nil until the first Add
+	unit  bool      // arity 0: whether the relation holds the empty tuple
 }
 
 // Rows returns the number of tuples.
 func (r *Relation) Rows() int {
 	if r.Arity == 0 {
-		if r.index["ε"] {
+		if r.unit {
 			return 1
 		}
 		return 0
@@ -210,43 +210,29 @@ func (r *Relation) Add(vals ...Value) {
 	if len(vals) != r.Arity {
 		panic(fmt.Sprintf("relation: %s expects arity %d, got %d", r.Name, r.Arity, len(vals)))
 	}
-	if r.index == nil {
-		r.index = map[string]bool{}
-	}
-	key := encode(vals)
 	if r.Arity == 0 {
-		key = "ε"
-	}
-	if r.index[key] {
+		r.unit = true
 		return
 	}
-	r.index[key] = true
-	r.data = append(r.data, vals...)
+	if r.set == nil {
+		r.set = newKeyIndex(allCols(r.Arity), 0)
+	}
+	if r.set.insert(r.data, r.Arity, vals) {
+		r.data = append(r.data, vals...)
+	}
 }
 
 // Has reports whether the relation already holds the tuple.
 func (r *Relation) Has(vals ...Value) bool {
-	if len(vals) != r.Arity {
+	switch {
+	case len(vals) != r.Arity:
+		return false
+	case r.Arity == 0:
+		return r.unit
+	case r.set == nil:
 		return false
 	}
-	if r.Arity == 0 {
-		return r.index["ε"]
-	}
-	return r.index[encode(vals)]
-}
-
-func encode(vals []Value) string {
-	return string(appendVals(make([]byte, 0, len(vals)*4), vals))
-}
-
-// appendVals appends the 4-byte little-endian encoding of each value to b.
-// Hot dedup loops reuse one buffer and probe maps with string(buf), which
-// the compiler keeps allocation-free on lookup.
-func appendVals(b []byte, vals []Value) []byte {
-	for _, v := range vals {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return b
+	return r.set.find(r.data, r.Arity, vals, r.set.cols) >= 0
 }
 
 // String renders the relation as facts, sorted, for tests and tools.

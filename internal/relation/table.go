@@ -10,6 +10,11 @@ import (
 // variable ids (column order), rows are stored flat. A table with no
 // variables is Boolean: it holds either zero rows (false) or one empty row
 // (true).
+//
+// The set property is an invariant: no two rows of a table are equal. Every
+// operation keeps it given set inputs (Concat only for disjoint inputs), and
+// Bind and a Project onto a permutation of all columns rely on it to skip
+// the dedup pass.
 type Table struct {
 	Vars []int
 	data []Value
@@ -72,76 +77,79 @@ func BindVar(v int) Arg { return Arg{IsVar: true, Var: v} }
 // BindConst returns an Arg requiring the constant c.
 func BindConst(c Value) Arg { return Arg{Const: c} }
 
-// Bind evaluates the atom r(args...) into a table.
+// Bind evaluates the atom r(args...) into a table. Binding is injective on
+// the tuples that pass its selections — a dropped column is either a
+// constant or a repeat of a kept one — so the rows of a set relation bind to
+// distinct table rows and no dedup pass is needed.
 func Bind(r *Relation, args []Arg) (*Table, error) {
 	if len(args) != r.Arity {
 		return nil, fmt.Errorf("relation: atom over %s has %d args, relation has arity %d", r.Name, len(args), r.Arity)
 	}
-	var vars []int
-	firstCol := map[int]int{}
+	// src[j] is the first column carrying arg j's variable, or -1 for a
+	// constant; keep lists the first columns, one per output variable.
+	var vars, keep []int
+	src := make([]int, len(args))
 	for i, a := range args {
-		if a.IsVar {
-			if _, seen := firstCol[a.Var]; !seen {
-				firstCol[a.Var] = i
-				vars = append(vars, a.Var)
-			}
+		src[i] = -1
+		if !a.IsVar {
+			continue
 		}
-	}
-	out := NewTable(vars)
-	row := make([]Value, len(vars))
-	for i := 0; i < r.Rows(); i++ {
-		tup := r.Row(i)
-		ok := true
-		for j, a := range args {
-			if a.IsVar {
-				if tup[firstCol[a.Var]] != tup[j] {
-					ok = false
-					break
-				}
-			} else if tup[j] != a.Const {
-				ok = false
+		src[i] = i
+		for j := 0; j < i; j++ {
+			if args[j].IsVar && args[j].Var == a.Var {
+				src[i] = j
 				break
 			}
 		}
-		if !ok {
-			continue
+		if src[i] == i {
+			vars = append(vars, a.Var)
+			keep = append(keep, i)
 		}
-		for j, v := range vars {
-			row[j] = tup[firstCol[v]]
-		}
-		out.addRow(row)
 	}
-	out.dedup()
+	out := NewTable(vars)
+rows:
+	for i := 0; i < r.Rows(); i++ {
+		tup := r.Row(i)
+		for j, a := range args {
+			if c := src[j]; c < 0 {
+				if tup[j] != a.Const {
+					continue rows
+				}
+			} else if tup[c] != tup[j] {
+				continue rows
+			}
+		}
+		for _, c := range keep {
+			out.data = append(out.data, tup[c])
+		}
+		out.rows++
+	}
 	return out, nil
 }
 
+// dedup removes duplicate rows in place, keeping first occurrences in order.
 func (t *Table) dedup() {
 	if t.rows <= 1 {
 		return
 	}
-	seen := make(map[string]bool, t.rows)
 	w := len(t.Vars)
-	out := t.data[:0]
+	seen := newKeyIndex(allCols(w), t.rows)
 	kept := 0
-	// One reused key buffer: the map lookup on string(buf) does not allocate;
-	// only first-seen rows pay a key allocation on insert.
-	buf := make([]byte, 0, w*4)
 	for i := 0; i < t.rows; i++ {
 		row := t.data[i*w : (i+1)*w]
-		buf = appendVals(buf[:0], row)
-		if seen[string(buf)] {
-			continue
+		if seen.insert(t.data, w, row) {
+			copy(t.data[kept*w:], row)
+			kept++
 		}
-		seen[string(buf)] = true
-		out = append(out, row...)
-		kept++
 	}
-	t.data = out
+	t.data = t.data[:kept*w]
 	t.rows = kept
 }
 
 // Project returns the projection of t onto vars (which must be a subset of
-// t.Vars), with duplicate rows removed.
+// t.Vars), with duplicate rows removed. A projection onto a permutation of
+// all of t's columns cannot create duplicates in a set, so it is a plain
+// column copy.
 func (t *Table) Project(vars []int) *Table {
 	cols := make([]int, len(vars))
 	for i, v := range vars {
@@ -152,21 +160,42 @@ func (t *Table) Project(vars []int) *Table {
 		cols[i] = c
 	}
 	out := NewTable(vars)
-	row := make([]Value, len(vars))
-	seen := make(map[string]bool, t.rows)
+	w, ow := len(t.Vars), len(vars)
+	if ow == w && distinct(cols) {
+		out.data = make([]Value, 0, len(t.data))
+		for i := 0; i < t.rows; i++ {
+			src := t.data[i*w : (i+1)*w]
+			for _, c := range cols {
+				out.data = append(out.data, src[c])
+			}
+		}
+		out.rows = t.rows
+		return out
+	}
+	seen := newKeyIndex(allCols(ow), t.rows)
+	row := make([]Value, ow)
 	for i := 0; i < t.rows; i++ {
-		src := t.Row(i)
+		src := t.data[i*w : (i+1)*w]
 		for j, c := range cols {
 			row[j] = src[c]
 		}
-		k := encode(row)
-		if seen[k] {
-			continue
+		if seen.insert(out.data, ow, row) {
+			out.addRow(row)
 		}
-		seen[k] = true
-		out.addRow(row)
 	}
 	return out
+}
+
+// distinct reports whether no value repeats in xs.
+func distinct(xs []int) bool {
+	for i, x := range xs {
+		for _, y := range xs[:i] {
+			if x == y {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // sharedVars returns the variables common to t and u, with their column
@@ -182,37 +211,16 @@ func sharedVars(t, u *Table) (vars []int, tc, uc []int) {
 	return
 }
 
-func keyOf(row []Value, cols []int, buf []Value) string {
-	buf = buf[:0]
-	for _, c := range cols {
-		buf = append(buf, row[c])
-	}
-	return encode(buf)
-}
-
 // Semijoin returns the rows of t that join with at least one row of u
 // (t ⋉ u). The column set is t's.
 func (t *Table) Semijoin(u *Table) *Table {
 	_, tc, uc := sharedVars(t, u)
-	if len(tc) == 0 {
-		// no shared variables: t ⋉ u is t if u non-empty, else empty
-		if u.Empty() {
-			return NewTable(t.Vars)
-		}
-		out := NewTable(t.Vars)
-		out.data = append(out.data, t.data...)
-		out.rows = t.rows
-		return out
-	}
-	index := make(map[string]bool, u.rows)
-	buf := make([]Value, len(uc))
-	for i := 0; i < u.rows; i++ {
-		index[keyOf(u.Row(i), uc, buf)] = true
-	}
 	out := NewTable(t.Vars)
+	ix := indexRows(u, uc)
+	w, uw := len(t.Vars), len(u.Vars)
 	for i := 0; i < t.rows; i++ {
-		row := t.Row(i)
-		if index[keyOf(row, tc, buf)] {
+		row := t.data[i*w : (i+1)*w]
+		if ix.find(u.data, uw, row, tc) >= 0 {
 			out.addRow(row)
 		}
 	}
@@ -222,36 +230,7 @@ func (t *Table) Semijoin(u *Table) *Table {
 // Join returns the natural join t ⋈ u. The result's columns are t's
 // variables followed by u's variables that are not in t.
 func (t *Table) Join(u *Table) *Table {
-	_, tc, uc := sharedVars(t, u)
-	var extraCols []int
-	var vars []int
-	vars = append(vars, t.Vars...)
-	for j, v := range u.Vars {
-		if t.col(v) < 0 {
-			vars = append(vars, v)
-			extraCols = append(extraCols, j)
-		}
-	}
-	out := NewTable(vars)
-	index := make(map[string][]int, u.rows)
-	buf := make([]Value, len(uc))
-	for i := 0; i < u.rows; i++ {
-		k := keyOf(u.Row(i), uc, buf)
-		index[k] = append(index[k], i)
-	}
-	row := make([]Value, len(vars))
-	for i := 0; i < t.rows; i++ {
-		trow := t.Row(i)
-		for _, j := range index[keyOf(trow, tc, buf)] {
-			urow := u.Row(j)
-			copy(row, trow)
-			for x, c := range extraCols {
-				row[len(t.Vars)+x] = urow[c]
-			}
-			out.addRow(row)
-		}
-	}
-	return out
+	return t.JoinOn(NewJoinIndex(t.Vars, u))
 }
 
 // Equal reports whether t and u hold the same set of rows over the same
@@ -268,17 +247,10 @@ func (t *Table) Equal(u *Table) bool {
 		}
 		perm[i] = j
 	}
-	set := make(map[string]bool, t.rows)
-	buf := make([]Value, len(t.Vars))
-	for i := 0; i < t.rows; i++ {
-		set[encode(t.Row(i))] = true
-	}
+	w := len(t.Vars)
+	ix := indexRows(t, allCols(w))
 	for i := 0; i < u.rows; i++ {
-		urow := u.Row(i)
-		for c, j := range perm {
-			buf[c] = urow[j]
-		}
-		if !set[encode(buf)] {
+		if ix.find(t.data, w, u.data[i*w:(i+1)*w], perm) < 0 {
 			return false
 		}
 	}

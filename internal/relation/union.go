@@ -61,16 +61,17 @@ func Union(tables ...*Table) *Table {
 // hashed on the columns u shares with a fixed probe-side variable sequence.
 // Building it costs one pass over u; it can then be probed by any number of
 // tables over exactly that variable sequence (JoinOn) without re-indexing u
-// — the sharded evaluator joins every pivot fragment of a λ-join against
-// the same broadcast relation through one index. A JoinIndex is immutable
-// after construction and safe for concurrent probing.
+// — Table.Join is one build and one probe, and the sharded evaluator joins
+// every pivot fragment of a λ-join against the same broadcast relation
+// through one index. A JoinIndex is immutable after construction and safe
+// for concurrent probing.
 type JoinIndex struct {
 	u         *Table
 	probeVars []int
 	outVars   []int
 	tc, uc    []int // shared-variable columns in the probe side / in u
 	extraCols []int // u columns appended after the probe columns
-	index     map[string][]int
+	index     *keyIndex
 }
 
 // NewJoinIndex indexes u for natural joins against tables over exactly the
@@ -86,12 +87,7 @@ func NewJoinIndex(probeVars []int, u *Table) *JoinIndex {
 			idx.extraCols = append(idx.extraCols, j)
 		}
 	}
-	idx.index = make(map[string][]int, u.rows)
-	buf := make([]Value, len(idx.uc))
-	for i := 0; i < u.rows; i++ {
-		k := keyOf(u.Row(i), idx.uc, buf)
-		idx.index[k] = append(idx.index[k], i)
-	}
+	idx.index = indexRows(u, idx.uc)
 	return idx
 }
 
@@ -103,23 +99,27 @@ func (idx *JoinIndex) OutVars() []int { return append([]int(nil), idx.outVars...
 // JoinOn returns the natural join t ⋈ u through the prebuilt index, where t
 // must carry exactly the variable sequence the index was built for. The
 // result equals t.Join(u) but the cost is one probe per row of t plus the
-// output, with no per-call pass over u.
+// output, with no per-call pass over u. Rows come out in t's row order, and
+// each t row's matches in u's row order.
 func (t *Table) JoinOn(idx *JoinIndex) *Table {
 	if !sameVars([]*Table{NewTable(idx.probeVars), t}) {
 		panic(fmt.Sprintf("relation: JoinOn probe table has vars %v, index was built for %v", t.Vars, idx.probeVars))
 	}
 	out := NewTable(idx.outVars)
-	row := make([]Value, len(idx.outVars))
-	buf := make([]Value, len(idx.tc))
+	ix, u := idx.index, idx.u
+	w, uw := len(t.Vars), len(u.Vars)
 	for i := 0; i < t.rows; i++ {
-		trow := t.Row(i)
-		for _, j := range idx.index[keyOf(trow, idx.tc, buf)] {
-			urow := idx.u.Row(j)
-			copy(row, trow)
-			for x, c := range idx.extraCols {
-				row[len(t.Vars)+x] = urow[c]
+		trow := t.data[i*w : (i+1)*w]
+		for j := ix.first(ix.key(trow, idx.tc)); j >= 0; j = ix.after(j) {
+			urow := u.data[j*uw : (j+1)*uw]
+			if ix.wide && !equalOn(trow, idx.tc, urow, idx.uc) {
+				continue
 			}
-			out.addRow(row)
+			out.data = append(out.data, trow...)
+			for _, c := range idx.extraCols {
+				out.data = append(out.data, urow[c])
+			}
+			out.rows++
 		}
 	}
 	return out

@@ -100,9 +100,9 @@ func TestJoinIndexChainOutVars(t *testing.T) {
 	}
 }
 
-// The dedup key buffer is hoisted out of the row loop: deduplicating a table
-// that is all duplicates must cost far fewer allocations than one per row
-// (only first-seen rows allocate a map key).
+// Deduplicating a table that is all duplicates must not allocate per row:
+// the integer-keyed index costs a fixed number of arrays however many rows
+// it holds.
 func TestUnionDedupAllocs(t *testing.T) {
 	const rows = 1000
 	a := NewTable([]int{0, 1})
@@ -115,11 +115,9 @@ func TestUnionDedupAllocs(t *testing.T) {
 			t.Fatalf("Union lost rows: %d", u.Rows())
 		}
 	})
-	// 2×rows worth of input with rows distinct keys: budget ≈ one key alloc
-	// per distinct row plus map/slice growth. Before the hoist this was
-	// ≥ 2 allocations per input row (~4000).
-	if allocs > rows*1.5 {
-		t.Fatalf("Union dedup allocates %v times for %d distinct rows — key buffer not hoisted", allocs, rows)
+	// The output table, its data and the index arrays.
+	if allocs > 32 {
+		t.Fatalf("Union dedup allocates %v times for %d distinct rows — want a constant number", allocs, rows)
 	}
 }
 
