@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hypertree/internal/decomp"
 	"hypertree/internal/gen"
 )
 
@@ -209,7 +210,22 @@ func TestExplainReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// k-decomp reads no statistics: the report carries the estimates but
+	// must not claim the plan was chosen by them.
 	got := costed.Explain()
+	for _, want := range []string{"not chosen by cost", "est=", "rows]", "estimated total cost"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("k-decomp Explain under statistics misses %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "cost-based") {
+		t.Errorf("k-decomp Explain claims cost-based ranking:\n%s", got)
+	}
+	raced, err := Compile(q, WithStrategy(StrategyHypertree), WithAutoStrategy(), WithStats(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = raced.Explain()
 	for _, want := range []string{"cost-based", "est=", "rows]", "estimated total cost"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("cost-based Explain misses %q:\n%s", want, got)
@@ -300,5 +316,71 @@ func TestPlanCacheStatsWrapsMetrics(t *testing.T) {
 	}
 	if hits != 2 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 2/1", hits, misses)
+	}
+}
+
+// Under statistics the race ranks by fractional width first: the winner's
+// fhw equals the minimum over the entrants that succeed on their own, on
+// random and structured shapes priced by skewed databases. The estimate
+// only picks among plans of that width.
+func TestRaceWinnerHasMinimumFractionalWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	ctx := context.Background()
+	queries := []*Query{gen.Cycle(4), gen.Cycle(5), gen.CliqueBinary(4), gen.CliqueBinary(5), gen.Grid(2, 3), gen.CostSeparationQuery()}
+	for i := 0; i < 14; i++ {
+		queries = append(queries, gen.RandomQuery(rng, 4+rng.Intn(3), 5+rng.Intn(4), 3))
+	}
+	for i, q := range queries {
+		h, edgeToAtom := q.Hypergraph()
+		if h.NumEdges() == 0 || IsAcyclic(q) {
+			continue
+		}
+		st := CollectStats(gen.SkewedSizeDatabase(rng, q, 400, 30, 2))
+		req := DecomposeRequest{Stats: edgeStatsFor(q, h, edgeToAtom, st)}
+		win, err := raceDecomposers(ctx, h, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := -1.0
+		for _, d := range []struct {
+			dec    Decomposer
+			budget int
+		}{{KDecomposer(), DefaultRaceExactBudget}, {FractionalDecomposer(), 0}, {GreedyDecomposer(), 0}} {
+			r := req
+			r.StepBudget = d.budget
+			dec, err := d.dec.Decompose(ctx, h, r)
+			if err != nil {
+				continue
+			}
+			if fw := dec.FractionalWidth(); best < 0 || fw < best {
+				best = fw
+			}
+		}
+		if got := win.dec.FractionalWidth(); got > best+decomp.FracEps {
+			t.Errorf("query %d: race winner %s has fhw %.4g, an entrant reached %.4g\n%s", i, win.name, got, best, q)
+		}
+	}
+}
+
+// The exact engine ignores statistics, and on the cost-separation query it
+// bags χ{X1..X4} with λ{big, c3}, two relations sharing no variable. Both
+// reports must mark that bag cross-product and say the plan was not chosen
+// by cost.
+func TestExplainMarksCrossProduct(t *testing.T) {
+	q := gen.CostSeparationQuery()
+	db := gen.SkewedSizeDatabase(rand.New(rand.NewSource(3)), q, 200, 20, 3)
+	p, err := Compile(q, WithStrategy(StrategyHypertree), WithStats(db), WithTrace(NewTrace()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Execute(context.Background(), db); err != nil {
+		t.Fatal(err)
+	}
+	for name, report := range map[string]string{"Explain": p.Explain(), "ExplainAnalyze": p.ExplainAnalyze()} {
+		for _, want := range []string{"cross-product", "not chosen by cost"} {
+			if !strings.Contains(report, want) {
+				t.Errorf("%s misses %q:\n%s", name, want, report)
+			}
+		}
 	}
 }

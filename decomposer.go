@@ -40,14 +40,31 @@ type DecomposeRequest struct {
 	// Workers is the requested parallelism for decomposers that support it
 	// (≤ 1 means sequential).
 	Workers int
-	// EdgeRows, when non-nil, holds the estimated cardinality of the
-	// relation backing each hypergraph edge (indexed by edge id). Compile
-	// fills it from the statistics given via WithStats/WithCostModel; the
-	// built-in heuristic engines use it to break width ties toward
-	// decompositions of lower estimated cost, and custom Decomposers are
-	// free to ignore it — statistics influence plan choice, never plan
-	// validity.
+	// Stats, when non-nil, holds the per-edge statistics (row estimates,
+	// bound variables, distinct counts; indexed by edge id) Compile derives
+	// once from WithStats/WithCostModel. The built-in heuristic engines use
+	// it to break width ties toward decompositions of lower estimated cost
+	// (decomp.NodeCost); custom Decomposers are free to ignore it —
+	// statistics influence plan choice, never plan validity.
+	Stats *EdgeStats
+	// EdgeRows is the rows-only form of Stats for callers that know nothing
+	// but per-edge cardinalities: when Stats is nil, the built-in engines
+	// price the edges with these rows, the edges' variables from the
+	// hypergraph and no distinct counts.
 	EdgeRows []float64
+}
+
+// edgeStats returns the statistics the built-in engines price h's edges
+// with: Stats, else the rows-only EdgeStats built from EdgeRows, else nil.
+func (r DecomposeRequest) edgeStats(h *Hypergraph) *EdgeStats {
+	if r.Stats != nil || r.EdgeRows == nil {
+		return r.Stats
+	}
+	es := &EdgeStats{Rows: r.EdgeRows, Vars: make([][]int, h.NumEdges())}
+	for e := range es.Vars {
+		es.Vars[e] = h.Edge(e).Elems()
+	}
+	return es
 }
 
 // Decomposer is a pluggable decomposition strategy: given a query hypergraph
@@ -97,6 +114,17 @@ type GeneralizedDecomposer interface {
 	// Generalized reports whether the produced decompositions may violate
 	// condition 4 (and must therefore be validated as GHDs).
 	Generalized() bool
+}
+
+// ranksByCost reports whether d reads DecomposeRequest statistics to rank
+// its candidates: the heuristic engines do, the exact searches (and custom
+// decomposers, as far as Compile can tell) do not.
+func ranksByCost(d Decomposer) bool {
+	switch d.(type) {
+	case greedyDecomposer, fractionalDecomposer:
+		return true
+	}
+	return false
 }
 
 // KDecomposer returns the sequential k-decomp Decomposer (the alternating
@@ -260,7 +288,7 @@ func (greedyDecomposer) Generalized() bool { return true }
 
 func (g greedyDecomposer) Decompose(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*Decomposition, error) {
 	o := g.opts
-	o.EdgeRows = req.EdgeRows
+	o.Stats = req.edgeStats(h)
 	return ghd.Decompose(ctx, h, o, req.MaxWidth, req.StepBudget, req.Workers)
 }
 
@@ -306,6 +334,6 @@ func (fractionalDecomposer) Fractional() bool { return true }
 
 func (f fractionalDecomposer) Decompose(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*Decomposition, error) {
 	o := f.opts
-	o.EdgeRows = req.EdgeRows
+	o.Stats = req.edgeStats(h)
 	return fhd.Decompose(ctx, h, o, req.MaxWidth, req.StepBudget)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"hypertree/internal/decomp"
 	"hypertree/internal/obs"
 )
 
@@ -22,10 +23,13 @@ func (p *Plan) PlanStats() *Stats { return p.stats }
 
 // Explain renders the plan's per-node cost/width report: for every
 // decomposition node its χ and λ labels (with fractional weights where
-// present), the node width, and — when the plan was compiled with
-// statistics — the relation cardinalities joined and the estimated
-// cardinality of the node table. The header line summarises the plan, the
-// ranking mode (cost-based or width-only) and the total estimated cost.
+// present), the node width, a "cross-product" mark on bags whose λ edges
+// share no variables across some split (decomp.CrossProduct), and — when
+// the plan was compiled with statistics — the relation cardinalities
+// joined and the estimated cardinality of the node table. The header line
+// summarises the plan, the ranking mode (cost-based, width-only, or
+// statistics present but ignored by the decomposer) and the total
+// estimated cost.
 // Reading the report answers the planner questions: which relations landed
 // in λ, what each node is expected to materialise, and why this plan beat
 // its same-width rivals.
@@ -41,9 +45,9 @@ func (p *Plan) Explain() string {
 		b.WriteString("\n")
 		return b.String()
 	case p.stats == nil:
-		b.WriteString("\n  ranking: width-only (no statistics; compile with WithStats/WithCostModel for cost-based plans)\n")
+		fmt.Fprintf(&b, "\n  %s\n", p.ranking())
 	default:
-		fmt.Fprintf(&b, "\n  ranking: cost-based, estimated total cost %.4g\n  %s\n", p.estCost, p.stats)
+		fmt.Fprintf(&b, "\n  %s\n  %s\n", p.ranking(), p.stats)
 	}
 	var visit func(n *DecompositionNode, depth int)
 	visit = func(n *DecompositionNode, depth int) {
@@ -62,6 +66,9 @@ func (p *Plan) Explain() string {
 		}
 		if p.stats != nil {
 			fmt.Fprintf(&b, " est=%.4g", n.EstRows)
+		}
+		if decomp.CrossProduct(p.dec.H, n) {
+			b.WriteString(" cross-product")
 		}
 		b.WriteString("\n")
 		for _, c := range n.Children {
@@ -86,6 +93,20 @@ func (p *Plan) Explain() string {
 	return b.String()
 }
 
+// ranking names how the plan's decomposition was chosen: by width alone
+// (no statistics), by fractional width and then estimated cost, or by a
+// decomposer that ignores the statistics it was given.
+func (p *Plan) ranking() string {
+	switch {
+	case p.stats == nil:
+		return "ranking: width-only (no statistics; compile with WithStats/WithCostModel for cost-based plans)"
+	case p.costRank:
+		return fmt.Sprintf("ranking: cost-based (fractional width first, then estimated cost), estimated total cost %.4g", p.estCost)
+	default:
+		return fmt.Sprintf("ranking: %s ignores statistics, so the plan was not chosen by cost; estimated total cost %.4g", p.decomposer, p.estCost)
+	}
+}
+
 // LastTrace returns the trace of the plan's most recent traced execution
 // (Execute under ContextWithTrace, or any execution of a WithTrace plan),
 // or nil when no execution has been traced. Safe for concurrent use.
@@ -93,8 +114,9 @@ func (p *Plan) LastTrace() *Trace {
 	return p.lastTrace.Load()
 }
 
-// ExplainAnalyze renders the EXPLAIN ANALYZE report: the Explain tree with,
-// per decomposition node, the actual materialised cardinality of the most
+// ExplainAnalyze renders the EXPLAIN ANALYZE report: the ranking line and
+// the Explain tree with, per decomposition node (cross-product bags
+// marked), the actual materialised cardinality of the most
 // recent traced execution next to the planner's estimate and their q-error
 // — the ground truth Explain alone cannot show — followed by the execution
 // pass timings (semijoin up/down, enumeration) and any compile/race spans
@@ -151,6 +173,9 @@ func (p *Plan) ExplainAnalyze() string {
 	var b strings.Builder
 	b.WriteString(p.String())
 	b.WriteString("\n")
+	if p.dec != nil {
+		fmt.Fprintf(&b, "  %s\n", p.ranking())
+	}
 	if execSpan != nil {
 		fmt.Fprintf(&b, "  analyze: %dµs", execSpan.Micros)
 		if execSpan.Rows >= 0 {
@@ -167,6 +192,9 @@ func (p *Plan) ExplainAnalyze() string {
 			fmt.Fprintf(&b, "%s%s", indent, info.Label)
 			if info.Kernel != "" {
 				fmt.Fprintf(&b, " kernel=%s", info.Kernel)
+			}
+			if info.CrossProduct {
+				b.WriteString(" cross-product")
 			}
 			s, ok := nodeSpans[info.ID]
 			switch {
@@ -233,8 +261,8 @@ func (p *Plan) lambdaLabels(n *DecompositionNode) []string {
 				l += fmt.Sprintf("·%.3g", w)
 			}
 		}
-		if e < len(p.edgeRows) {
-			l += fmt.Sprintf("[%.4g rows]", p.edgeRows[e])
+		if p.edgeStats != nil && e < len(p.edgeStats.Rows) {
+			l += fmt.Sprintf("[%.4g rows]", p.edgeStats.Rows[e])
 		}
 		labels = append(labels, l)
 	}

@@ -135,6 +135,15 @@ func (s Set) Intersect(t Set) Set {
 	return r
 }
 
+// IntersectLen returns |s ∩ t| without building the intersection.
+func (s Set) IntersectLen(t Set) int {
+	n, c := min(len(s), len(t)), 0
+	for i := 0; i < n; i++ {
+		c += bits.OnesCount64(s[i] & t[i])
+	}
+	return c
+}
+
 // Intersects reports whether s ∩ t is non-empty.
 func (s Set) Intersects(t Set) bool {
 	n := min(len(s), len(t))

@@ -145,31 +145,6 @@ func WidthOf(ctx context.Context, d *decomp.Decomposition) (float64, error) {
 	return w, nil
 }
 
-// AGMBound returns the AGM output bound r^fhw of node n against actual
-// per-edge cardinalities: Π_{e∈λ} max(rows(e), 1)^w(e), with w the node's
-// fractional cover weights (1 per edge on integral decompositions). By the
-// AGM inequality this bounds the node's materialised table — the
-// χ-projection of the λ-join — so evaluators use it to pre-size node tables
-// and as the worst-case-optimal join kernel's output budget. Unlike
-// decomp.NodeCost it reads cardinalities through a callback, letting the
-// evaluator price the bound with the exact bound-table sizes it just
-// computed rather than compile-time estimates.
-func AGMBound(n *decomp.Node, rows func(e int) float64) float64 {
-	bound := 1.0
-	n.Lambda.ForEach(func(e int) {
-		r := rows(e)
-		if r < 1 {
-			r = 1
-		}
-		w := 1.0
-		if n.Weights != nil {
-			w = n.Weights[e]
-		}
-		bound *= math.Pow(r, w)
-	})
-	return bound
-}
-
 // Decompose runs the fractional engine: the greedy tree shapes of
 // internal/ghd (the full ordering/restart portfolio of opts), every bag
 // re-covered by its optimal fractional cover, keeping the shape of minimum
@@ -180,7 +155,7 @@ func AGMBound(n *decomp.Node, rows func(e int) float64) float64 {
 // means "no shape reached the bound", not a proof about fhw(H).
 // stepBudget > 0 bounds elimination decisions plus simplex pivots across
 // all shapes; when it runs out the best complete shape found so far is
-// returned, or decomp.ErrStepBudget if none finished. opts.EdgeRows, when
+// returned, or decomp.ErrStepBudget if none finished. opts.Stats, when
 // set, breaks fractional-width ties between shapes toward the lower total
 // estimated cost (and steers nothing else — the width contract is
 // unchanged).
@@ -217,14 +192,14 @@ func Decompose(ctx context.Context, h *hypergraph.Hypergraph, opts ghd.Options, 
 		// under the covers' fractional weights) — equal-fhw shapes can place
 		// wildly different relations in their λ supports.
 		cost := math.Inf(1)
-		if opts.EdgeRows != nil {
-			cost = d.CostWith(opts.EdgeRows)
+		if opts.Stats != nil {
+			cost = d.CostWith(opts.Stats)
 		}
 		better := fw < bestFW-decomp.FracEps ||
-			(opts.EdgeRows != nil && fw < bestFW+decomp.FracEps && cost < bestCost)
+			(opts.Stats != nil && fw < bestFW+decomp.FracEps && cost < bestCost)
 		if better {
 			best, bestFW, bestCost = d, fw, cost
-			if maxWidth > 0 && fw <= float64(maxWidth)+decomp.FracEps && opts.EdgeRows == nil {
+			if maxWidth > 0 && fw <= float64(maxWidth)+decomp.FracEps && opts.Stats == nil {
 				return errShapeFound // satisfying width: stop improving
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"hypertree/internal/decomp"
 	"hypertree/internal/gen"
 	"hypertree/internal/hypergraph"
+	"hypertree/internal/stats"
 )
 
 // decompose with default options and no limits.
@@ -245,7 +246,7 @@ func TestGreedyCoverCostPrefersCheapEdges(t *testing.T) {
 	}
 	rows := make([]float64, h.NumEdges())
 	rows[big], rows[mid], rows[small] = 100000, 50, 10
-	costed := GreedyCoverCost(h, bag, rows)
+	costed := GreedyCoverCost(h, bag, &stats.EdgeStats{Rows: rows})
 	if costed.Has(big) || !costed.Has(small) || !costed.Has(mid) {
 		t.Fatalf("cost-aware cover kept the giant: %v", costed)
 	}
@@ -254,7 +255,7 @@ func TestGreedyCoverCostPrefersCheapEdges(t *testing.T) {
 	}
 }
 
-// With EdgeRows, Decompose must keep its width contract while landing on a
+// With statistics, Decompose must keep its width contract while landing on a
 // cheaper decomposition than the width-only run, sequentially and in
 // parallel.
 func TestDecomposeCostTieBreak(t *testing.T) {
@@ -264,7 +265,7 @@ func TestDecomposeCostTieBreak(t *testing.T) {
 	h.AddEdge("c3", "X3", "X4")
 	h.AddEdge("c4", "X4", "X1")
 	h.AddEdge("small", "X1", "X2")
-	rows := []float64{100000, 1000, 100, 50, 10}
+	rows := &stats.EdgeStats{Rows: []float64{100000, 1000, 100, 50, 10}}
 
 	ctx := context.Background()
 	plain, err := Decompose(ctx, h, Options{}, 0, 0, 1)
@@ -272,7 +273,7 @@ func TestDecomposeCostTieBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		costed, err := Decompose(ctx, h, Options{EdgeRows: rows}, 0, 0, workers)
+		costed, err := Decompose(ctx, h, Options{Stats: rows}, 0, 0, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +299,7 @@ func TestGreedyCoverCostNeverGrowsCover(t *testing.T) {
 	h.AddEdge("e2", "c", "d")
 	h.AddEdge("e3", "a", "c")
 	bag := bitset.FromSlice([]int{0, 1, 2, 3})
-	rows := []float64{1000, 1000, 2}
+	rows := &stats.EdgeStats{Rows: []float64{1000, 1000, 2}}
 
 	plain := GreedyCover(h, bag)
 	costed := GreedyCoverCost(h, bag, rows)
@@ -307,5 +308,40 @@ func TestGreedyCoverCostNeverGrowsCover(t *testing.T) {
 	}
 	if costed.Len() != 2 {
 		t.Fatalf("cover size %d, want 2", costed.Len())
+	}
+}
+
+// Among equally covering edges the cost-aware cover picks the one that
+// keeps λ joined, not the smallest relation: on the serving workload's
+// 4-cycle, the bag {X1,X2,X3} first takes r2(X2,X3), and then r1(X1,X2)
+// (which shares X2) must beat r4(X4,X1) — barely smaller, but a cross
+// product with r2. Rows-only tie-breaking picks r4 and makes the node a
+// product of two unrelated relations.
+func TestGreedyCoverCostKeepsLambdaJoined(t *testing.T) {
+	h := hypergraph.New()
+	h.AddEdge("r1", "X1", "X2")
+	h.AddEdge("r2", "X2", "X3")
+	h.AddEdge("r3", "X3", "X4")
+	h.AddEdge("r4", "X4", "X1")
+	es := &stats.EdgeStats{Rows: []float64{1992, 1990, 2000, 1988}}
+	for e := 0; e < h.NumEdges(); e++ {
+		es.Vars = append(es.Vars, h.Edge(e).Elems())
+		es.Distinct = append(es.Distinct, []float64{500, 500})
+	}
+	for _, bag := range []bitset.Set{bitset.Of(0, 1, 2), bitset.Of(0, 2, 3)} {
+		lam := GreedyCoverCost(h, bag, es)
+		n := &decomp.Node{Chi: bag, Lambda: lam}
+		if lam.Len() != 2 || decomp.CrossProduct(h, n) {
+			t.Errorf("bag %v: cover %v is not a 2-edge join", h.VertexNames(bag), h.EdgeNames(lam))
+		}
+		if !bag.SubsetOf(h.Vars(lam)) {
+			t.Errorf("bag %v: cover %v does not cover it", h.VertexNames(bag), h.EdgeNames(lam))
+		}
+	}
+	// rows only: no variables, so the tie-break is fewest rows — the
+	// cross product r2 × r4
+	rowsOnly := GreedyCoverCost(h, bitset.Of(0, 1, 2), &stats.EdgeStats{Rows: es.Rows})
+	if !rowsOnly.Has(1) || !rowsOnly.Has(3) {
+		t.Errorf("rows-only cover %v, want r2 and r4", h.EdgeNames(rowsOnly))
 	}
 }

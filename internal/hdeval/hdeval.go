@@ -39,9 +39,8 @@ type Evaluator struct {
 	edgeToAtom  []int
 	head        []int
 	chiElems    map[*decomp.Node][]int
-	edgeRows    []float64                // per-edge cardinality estimates (nil: no statistics)
-	edgeStats   *stats.EdgeStats         // per-edge rows + distincts for cost-aware kernel choice (nil: arity rule)
-	lamOrder    map[*decomp.Node][]int   // λ edges in evaluation order (ascending estimate)
+	edgeStats   *stats.EdgeStats         // per-edge rows, vars and distincts (nil: no statistics)
+	lamOrder    map[*decomp.Node][]int   // λ edges in evaluation order (connected, ascending estimate)
 	nodeID      map[*decomp.Node]int     // preorder index over the completed tree
 	infos       []NodeInfo               // per-node identity/estimate, indexed by nodeID
 	kernel      Kernel                   // intra-bag join kernel policy
@@ -72,6 +71,9 @@ type NodeInfo struct {
 	// statistics-free fallback rule, and "chain(fallback)" when the policy
 	// chose leapfrog but the node has no leapfrog plan.
 	Kernel string
+	// CrossProduct marks a node whose λ edges are not connected through
+	// shared variables (decomp.CrossProduct).
+	CrossProduct bool
 }
 
 // NodeInfos returns the completed tree's node records in preorder. The
@@ -82,44 +84,25 @@ func (e *Evaluator) NodeInfos() []NodeInfo { return e.infos }
 // evaluation skeleton. The head variables are validated here, so execution
 // can no longer fail on an unsafe head.
 func NewEvaluator(q *cq.Query, hd *decomp.Decomposition) (*Evaluator, error) {
-	return NewEvaluatorStats(q, hd, nil)
+	return NewEvaluatorCost(q, hd, nil, KernelChain)
 }
 
-// NewEvaluatorStats is NewEvaluator with per-edge cardinality estimates
-// steering the evaluation order. When edgeRows is non-nil, each node's
-// λ-join runs in ascending order of estimated relation cardinality (small
-// relations first keep the left-deep intermediates small) and every node's
-// children are reordered by ascending estimated node cardinality, so the
-// bottom-up semijoin passes shrink each table against its most selective
-// child first. Both reorderings are answer-neutral — joins and the
-// semijoin reductions commute — so an Evaluator with statistics returns
-// exactly the tables of one without; only the work to produce them
-// changes. edgeRows nil preserves the historical input order bit for bit.
-func NewEvaluatorStats(q *cq.Query, hd *decomp.Decomposition, edgeRows []float64) (*Evaluator, error) {
-	return NewEvaluatorKernel(q, hd, edgeRows, KernelChain)
-}
-
-// NewEvaluatorKernel is NewEvaluatorStats with an explicit intra-bag join
-// kernel policy (see Kernel). The kernel changes only how each node's
-// χ-projected λ-join is computed — chain of binary hash joins vs columnar
-// leapfrog triejoin — never its result, so evaluators with different
-// kernels return identical tables.
-func NewEvaluatorKernel(q *cq.Query, hd *decomp.Decomposition, edgeRows []float64, kernel Kernel) (*Evaluator, error) {
-	var es *stats.EdgeStats
-	if edgeRows != nil {
-		es = &stats.EdgeStats{Rows: edgeRows}
-	}
-	return NewEvaluatorCost(q, hd, es, kernel)
-}
-
-// NewEvaluatorCost is the full-information constructor: es carries per-edge
-// row estimates (steering join and child orders exactly as
-// NewEvaluatorStats describes) plus per-edge distinct counts, which arm the
-// cost-aware auto kernel — each bag's λ-join is priced as a hash chain vs a
-// leapfrog encode+enumerate and the cheaper kernel is decided per node (see
-// kernelcost.go). es nil, or with no Distinct slice, degrades to the arity
-// rule for auto. Kernel decisions never change results, only the work to
-// produce them.
+// NewEvaluatorCost is NewEvaluator with per-edge statistics and an
+// explicit intra-bag join kernel policy (see Kernel). es steers the
+// evaluation order: each node's λ-join runs connected-first in ascending
+// order of estimated relation cardinality (stats.EdgeStats.ConnectedOrder:
+// small relations first keep the left-deep intermediates small, and an
+// edge sharing a variable with the joined prefix always goes before one
+// that would multiply it out), and every node's children are reordered by
+// ascending estimated node cardinality, so the bottom-up semijoin passes
+// shrink each table against its most selective child first. Its distinct
+// counts arm the cost-aware auto kernel — each bag's λ-join is priced as a
+// hash chain vs a leapfrog encode+enumerate and the cheaper kernel is
+// decided per node (see kernelcost.go). es nil orders λ connected-first by
+// edge id and leaves auto on the arity rule, as does an es without
+// distinct counts. Neither the orders nor the kernel change any produced
+// table — joins and the semijoin reductions commute — only the work to
+// produce it.
 func NewEvaluatorCost(q *cq.Query, hd *decomp.Decomposition, es *stats.EdgeStats, kernel Kernel) (*Evaluator, error) {
 	if hd == nil || hd.H == nil || (hd.Root == nil && hd.H.NumEdges() > 0) {
 		return nil, fmt.Errorf("hdeval: nil decomposition")
@@ -127,10 +110,6 @@ func NewEvaluatorCost(q *cq.Query, hd *decomp.Decomposition, es *stats.EdgeStats
 	head, err := HeadVars(q)
 	if err != nil {
 		return nil, err
-	}
-	var edgeRows []float64
-	if es != nil {
-		edgeRows = es.Rows
 	}
 	complete := hd.Complete()
 	_, edgeToAtom := q.Hypergraph()
@@ -140,22 +119,32 @@ func NewEvaluatorCost(q *cq.Query, hd *decomp.Decomposition, es *stats.EdgeStats
 		edgeToAtom: edgeToAtom,
 		head:       head,
 		chiElems:   map[*decomp.Node][]int{},
-		edgeRows:   edgeRows,
 		edgeStats:  es,
 		lamOrder:   map[*decomp.Node][]int{},
 		kernel:     kernel,
 		lfNodes:    map[*decomp.Node]*lfNode{},
 		kernelOf:   map[*decomp.Node]string{},
 	}
-	if edgeRows != nil {
+	if es != nil {
 		// The completion may have added fresh ⟨χ=var(e), λ={e}⟩ nodes with no
-		// estimate yet; annotate only those, preserving any refined EstRows
-		// the compile pipeline stamped on the original nodes — child ordering
+		// estimate yet; annotate only those, preserving the EstRows the
+		// compile pipeline stamped on the original nodes — child ordering
 		// must read the same numbers Explain reports.
 		for _, n := range complete.Nodes() {
 			if n.EstRows == 0 {
-				n.EstRows = decomp.NodeCost(n, edgeRows)
+				n.EstRows = decomp.NodeEstimate(n, es)
 			}
+		}
+	}
+	// λ ordering needs every edge's variables even without statistics.
+	order := es
+	if es == nil || es.Vars == nil {
+		order = &stats.EdgeStats{Vars: make([][]int, complete.H.NumEdges())}
+		if es != nil {
+			order.Rows = es.Rows
+		}
+		for e2 := range order.Vars {
+			order.Vars[e2] = complete.H.Edge(e2).Elems()
 		}
 	}
 	// Parent links steer each node's χ column order: the variables shared
@@ -191,8 +180,8 @@ func NewEvaluatorCost(q *cq.Query, hd *decomp.Decomposition, es *stats.EdgeStats
 			chi = append(shared, rest...)
 		}
 		e.chiElems[n] = chi
-		e.lamOrder[n] = e.orderLambda(n)
-		if edgeRows != nil {
+		e.lamOrder[n] = order.ConnectedOrder(n.Lambda.Elems())
+		if es != nil {
 			sort.SliceStable(n.Children, func(i, j int) bool {
 				return n.Children[i].EstRows < n.Children[j].EstRows
 			})
@@ -207,11 +196,12 @@ func NewEvaluatorCost(q *cq.Query, hd *decomp.Decomposition, es *stats.EdgeStats
 	index = func(n *decomp.Node, depth int) {
 		e.nodeID[n] = len(e.infos)
 		e.infos = append(e.infos, NodeInfo{
-			ID:      len(e.infos),
-			Depth:   depth,
-			Label:   e.nodeLabel(n),
-			EstRows: n.EstRows,
-			Kernel:  e.kernelOf[n],
+			ID:           len(e.infos),
+			Depth:        depth,
+			Label:        e.nodeLabel(n),
+			EstRows:      n.EstRows,
+			Kernel:       e.kernelOf[n],
+			CrossProduct: decomp.CrossProduct(complete.H, n),
 		})
 		for _, c := range n.Children {
 			index(c, depth+1)
@@ -233,24 +223,6 @@ func (e *Evaluator) nodeLabel(n *decomp.Node) string {
 	return fmt.Sprintf("χ{%s} λ{%s}",
 		strings.Join(e.HD.H.VertexNames(n.Chi), ","),
 		strings.Join(e.HD.H.EdgeNames(n.Lambda), ","))
-}
-
-// orderLambda returns n's λ edges in evaluation order: ascending estimated
-// cardinality (ties to the lower edge id) under statistics, ascending edge
-// id without.
-func (e *Evaluator) orderLambda(n *decomp.Node) []int {
-	elems := n.Lambda.Elems()
-	if e.edgeRows == nil {
-		return elems
-	}
-	rows := func(i int) float64 {
-		if elems[i] < len(e.edgeRows) {
-			return e.edgeRows[elems[i]]
-		}
-		return 1
-	}
-	sort.SliceStable(elems, func(i, j int) bool { return rows(i) < rows(j) })
-	return elems
 }
 
 // Head returns the validated head variables of the query.
@@ -344,8 +316,8 @@ func (b *rootBuilder) bind(e2 int) (*relation.Table, error) {
 }
 
 // materialize joins the λ relations of n — in the evaluator's precomputed
-// order, i.e. ascending estimated cardinality when statistics are attached
-// — and projects to χ. Leapfrog nodes additionally return the sorted
+// connected order, ascending estimated cardinality when statistics are
+// attached — and projects to χ. Leapfrog nodes additionally return the sorted
 // columnar encoding of the table (their output is born sorted), which the
 // full reducer merge-semijoins over; chain nodes return a nil encoding.
 // Under a traced context the build is recorded as one SpanNode carrying

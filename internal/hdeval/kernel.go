@@ -2,10 +2,9 @@ package hdeval
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"hypertree/internal/decomp"
-	"hypertree/internal/fhd"
 	"hypertree/internal/obs"
 	"hypertree/internal/relation"
 )
@@ -16,11 +15,13 @@ import (
 // projection, while the leapfrog kernel (relation.LeapfrogJoin) encodes the
 // λ relations into sorted columnar tries and intersects them variable by
 // variable — worst-case optimal with respect to the AGM bound, which the
-// node's fractional cover weights certify as r^fhw. The variable order is
-// exactly what the theory prescribes: output (χ) variables first, so results
-// stream out sorted and distinct, then existential variables by descending
-// fractional cover weight (most-covered, hence most selective to intersect,
-// first).
+// node's fractional cover weights certify as r^fhw. The variable order
+// keeps every prefix connected in the bag's λ (lfPlanFor): a level whose
+// variable shares no λ edge with the levels above it intersects nothing and
+// enumerates a cross product. Output (χ) variables come as early as that
+// allows, so the output mostly streams out sorted and distinct, and
+// existential variables go by descending fractional cover weight
+// (most-covered, hence most selective to intersect, first).
 
 // Kernel names an intra-bag λ-join algorithm.
 type Kernel string
@@ -54,11 +55,24 @@ func ParseKernel(s string) (Kernel, error) {
 }
 
 // lfNode is the precomputed leapfrog plan of one decomposition node: the
-// global variable order (χ first, existential suffix by descending cover
-// weight) and the output prefix length.
+// global variable order, the output prefix length nOut (through the last χ
+// variable), and chi, the χ variables in order sequence. nOut > len(chi)
+// means existential variables are interleaved into the output prefix, and
+// the join output must be projected onto chi.
 type lfNode struct {
 	order []int
-	nChi  int
+	nOut  int
+	chi   []int
+}
+
+// table returns the node table from a join output over order[:nOut]: the
+// output itself — sorted and distinct — when no existential variable is
+// interleaved, otherwise its deduplicating projection onto chi.
+func (lf *lfNode) table(out *relation.Table) *relation.Table {
+	if lf.nOut == len(lf.chi) {
+		return out
+	}
+	return out.Project(lf.chi)
 }
 
 // Kernel returns the evaluator's configured join kernel.
@@ -66,70 +80,101 @@ func (e *Evaluator) Kernel() Kernel { return e.kernel }
 
 // lfPlanFor computes node n's leapfrog variable order, or nil when the node
 // must fall back to the chain (a χ variable outside var(λ) — impossible on
-// complete decompositions, but the chain is always safe). The order starts
-// with χ in chiElems order — so the output table's columns match the chain
-// path's Project(chiElems) exactly — and continues with the existential
-// variables of var(λ) by descending total fractional cover weight (weight 1
-// per covering edge on integral nodes), ties toward the smaller variable id.
+// complete decompositions, but the chain is always safe). Every prefix of
+// the order is connected in the λ hypergraph of the bag — each variable
+// after the first shares a λ edge with an earlier one — so no level ever
+// enumerates a cross product of unrelated values. Within that constraint χ
+// variables come as early as possible, in chiElems order (parent-shared
+// first, so the output keeps the reducer's merge-semijoin prefix); when no
+// χ variable connects to the prefix, the connecting existential variable
+// of largest total fractional cover weight (weight 1 per covering edge on
+// integral nodes; ties toward the smaller id) is interleaved — the
+// r(X,Y) ⋈ s(Y,Z) → {X,Z} case, where the χ-first order would enumerate X×Z.
+// Only a λ that is itself disconnected starts a new component, with its
+// first unplaced χ variable.
 func (e *Evaluator) lfPlanFor(n *decomp.Node) *lfNode {
 	lam := e.lamOrder[n]
-	inLam := map[int]bool{}
 	weight := map[int]float64{}
 	for _, e2 := range lam {
 		w := 1.0
 		if n.Weights != nil {
 			w = n.Weights[e2]
 		}
-		e.HD.H.Edge(e2).ForEach(func(v int) {
-			inLam[v] = true
-			weight[v] += w
-		})
+		e.HD.H.Edge(e2).ForEach(func(v int) { weight[v] += w })
 	}
 	chi := e.chiElems[n]
-	for _, v := range chi {
-		if !inLam[v] {
-			return nil
-		}
-	}
-	order := append([]int(nil), chi...)
 	inChi := map[int]bool{}
 	for _, v := range chi {
+		if _, ok := weight[v]; !ok {
+			return nil
+		}
 		inChi[v] = true
 	}
-	var exist []int
-	for v := range inLam {
-		if !inChi[v] {
-			exist = append(exist, v)
+	placed := map[int]bool{}
+	adjacent := map[int]bool{}
+	order := make([]int, 0, len(weight))
+	lf := &lfNode{}
+	// heaviest returns the unplaced existential variable of largest weight
+	// (ties to the smaller id), restricted to the prefix's neighbours when
+	// connected is set; -1 if there is none.
+	heaviest := func(connected bool) int {
+		best := -1
+		for v, w := range weight {
+			if placed[v] || inChi[v] || (connected && !adjacent[v]) {
+				continue
+			}
+			if best < 0 || w > weight[best] || (w == weight[best] && v < best) {
+				best = v
+			}
+		}
+		return best
+	}
+	for len(order) < len(weight) {
+		next := -1
+		for _, v := range chi {
+			if !placed[v] && (len(order) == 0 || adjacent[v]) {
+				next = v
+				break
+			}
+		}
+		if next < 0 {
+			next = heaviest(true)
+		}
+		if next < 0 { // λ is disconnected: open the next component
+			for _, v := range chi {
+				if !placed[v] {
+					next = v
+					break
+				}
+			}
+		}
+		if next < 0 {
+			next = heaviest(false)
+		}
+		placed[next] = true
+		order = append(order, next)
+		if inChi[next] {
+			lf.chi = append(lf.chi, next)
+			lf.nOut = len(order)
+		}
+		for _, e2 := range lam {
+			if edge := e.HD.H.Edge(e2); edge.Has(next) {
+				edge.ForEach(func(v int) { adjacent[v] = true })
+			}
 		}
 	}
-	sort.Slice(exist, func(i, j int) bool {
-		if weight[exist[i]] != weight[exist[j]] {
-			return weight[exist[i]] > weight[exist[j]]
-		}
-		return exist[i] < exist[j]
-	})
-	return &lfNode{order: append(order, exist...), nChi: len(chi)}
+	lf.order = order
+	return lf
 }
 
-// agmCapHint is the leapfrog output pre-size for node n: the AGM bound
-// r^fhw priced with the actual bound-table cardinalities, used only when the
-// node carries fractional cover weights (an integral product of full
-// relation sizes over-allocates wildly). The hint is clamped — it sizes a
-// buffer, it does not limit results.
-func agmCapHint(n *decomp.Node, lam []int, rowsOf func(i int) int) int {
-	if n.Weights == nil {
-		return 0
-	}
-	rows := map[int]float64{}
-	for i, e2 := range lam {
-		rows[e2] = float64(rowsOf(i))
-	}
-	bound := fhd.AGMBound(n, func(e int) float64 { return rows[e] })
+// capHint is the leapfrog output pre-size for node n: the planner's
+// estimate of the node table (EstRows; 0 without statistics, leaving the
+// output to grow). The hint sizes a buffer, it does not limit results. The
+// AGM bound r^fhw is a worst case: as a hint it reserved a megabyte on every
+// execution of a 2000-row triangle whose table holds a few dozen rows.
+func capHint(n *decomp.Node) int {
 	const maxHint = 1 << 22
-	if bound > maxHint {
-		return maxHint
-	}
-	return int(bound)
+	return int(math.Min(n.EstRows, maxHint))
 }
 
 // encodedLambda returns node n's λ relations in Columnar form under lf's
@@ -164,8 +209,8 @@ func (b *rootBuilder) encodedLambda(lam []int, lf *lfNode) ([]*relation.Columnar
 // materializeLeapfrog is the leapfrog-kernel form of materialize: encode
 // the λ relations (through the plan-level cache), run the multiway
 // intersection over the node's precomputed variable order, and take the
-// sorted, already-distinct χ prefix as the node table — re-encoded for
-// free (NewColumnarSorted) so the reducer can merge-semijoin it.
+// output prefix as the node table (lfNode.table), with the sorted
+// encoding the reducer merge-semijoins over.
 func (b *rootBuilder) materializeLeapfrog(n *decomp.Node, lf *lfNode) (*relation.Table, *relation.Columnar, error) {
 	sp := b.tr.StartSpan(obs.SpanNode)
 	sp.SetKernel(b.e.kernelOf[n])
@@ -174,8 +219,17 @@ func (b *rootBuilder) materializeLeapfrog(n *decomp.Node, lf *lfNode) (*relation
 	if err != nil {
 		return nil, nil, err
 	}
-	out := relation.LeapfrogJoinColumnar(cols, lf.order, lf.nChi, agmCapHint(n, lam, func(i int) int { return cols[i].Rows() }))
-	enc := relation.NewColumnarSorted(out)
+	joined := relation.LeapfrogJoinColumnar(cols, lf.order, lf.nOut, capHint(n))
+	out := lf.table(joined)
+	// The reducer merge-semijoins over a sorted encoding in the table's real
+	// column order: free when the join output is the table, one sort when
+	// the projection reshuffled it.
+	var enc *relation.Columnar
+	if out == joined {
+		enc = relation.NewColumnarSorted(out)
+	} else {
+		enc = relation.NewColumnar(out, lf.chi)
+	}
 	sp.AddSteps(int64(len(lam) - 1))
 	if id, ok := b.e.nodeID[n]; ok {
 		sp.SetNode(id)

@@ -2,7 +2,6 @@ package hdeval
 
 import (
 	"hypertree/internal/decomp"
-	"hypertree/internal/fhd"
 	"hypertree/internal/stats"
 )
 
@@ -88,24 +87,19 @@ func (e *Evaluator) chooseKernel(n *decomp.Node) (lf bool, why string) {
 // case the caller falls back to the arity rule.
 func (e *Evaluator) costDecision(n *decomp.Node, lam []int) (lf, ok bool) {
 	es := e.edgeStats
-	if es == nil || es.Rows == nil || es.Distinct == nil {
-		return false, false
-	}
 	rels := make([]stats.EdgeRel, 0, len(lam))
 	encodeCells := 0.0
 	levels := map[int]bool{}
 	for _, e2 := range lam {
-		if e2 >= len(es.Rows) || e2 >= len(es.Distinct) || es.Distinct[e2] == nil {
+		if !es.HasDistinct(e2) || e2 >= len(es.Rows) || e2 >= len(es.Vars) {
 			return false, false
 		}
-		var vars []int
-		e.HD.H.Edge(e2).ForEach(func(v int) {
-			vars = append(vars, v)
+		r := es.Rel(e2)
+		for _, v := range r.Vars {
 			levels[v] = true
-		})
-		rows := es.Rows[e2]
-		rels = append(rels, stats.EdgeRel{Rows: rows, Vars: vars, Distinct: es.Distinct[e2]})
-		encodeCells += rows * float64(len(vars))
+		}
+		rels = append(rels, r)
+		encodeCells += r.Rows * float64(len(r.Vars))
 	}
 	joinSize, work, ok := stats.ChainEstimate(rels)
 	if !ok {
@@ -115,12 +109,7 @@ func (e *Evaluator) costDecision(n *decomp.Node, lam []int) (lf, ok bool) {
 	// fractional cover the certificate caps the size estimate.
 	size := joinSize
 	if n.Weights != nil {
-		if agm := fhd.AGMBound(n, func(e2 int) float64 {
-			if e2 < len(es.Rows) {
-				return es.Rows[e2]
-			}
-			return 0
-		}); agm < size {
+		if agm := decomp.AGMBound(n, es); agm < size {
 			size = agm
 		}
 	}

@@ -18,17 +18,19 @@ import (
 // so whichever edge pair a decomposition bags together, the cost model sees
 // the same two-relation join on one shared variable.
 func symmetricTriangleStats(q *cq.Query, rows, distinct float64) *stats.EdgeStats {
-	h, edgeToAtom := q.Hypergraph()
+	h, _ := q.Hypergraph()
 	es := &stats.EdgeStats{
 		Rows:     make([]float64, h.NumEdges()),
-		Distinct: make([]map[int]float64, h.NumEdges()),
+		Vars:     make([][]int, h.NumEdges()),
+		Distinct: make([][]float64, h.NumEdges()),
 	}
 	for e := range es.Rows {
 		es.Rows[e] = rows
-		dv := map[int]float64{}
-		h.Edge(e).ForEach(func(v int) { dv[v] = distinct })
-		es.Distinct[e] = dv
-		_ = edgeToAtom
+		es.Vars[e] = h.Edge(e).Elems()
+		es.Distinct[e] = make([]float64, len(es.Vars[e]))
+		for i := range es.Distinct[e] {
+			es.Distinct[e][i] = distinct
+		}
 	}
 	return es
 }

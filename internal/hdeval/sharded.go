@@ -283,7 +283,7 @@ func (b *shardedBuilder) materializeShardedLeapfrog(n *decomp.Node, lf *lfNode) 
 			cols := make([]*relation.Columnar, 0, len(lam))
 			cols = append(cols, relation.NewColumnar(frag, relation.SubOrder(lf.order, frag.Vars)))
 			cols = append(cols, broadcast...)
-			out := relation.LeapfrogJoinColumnar(cols, lf.order, lf.nChi, 0)
+			out := lf.table(relation.LeapfrogJoinColumnar(cols, lf.order, lf.nOut, 0))
 			ssp.AddSteps(int64(len(lam) - 1))
 			ssp.SetRows(out.Rows())
 			ssp.End()

@@ -18,7 +18,7 @@ import (
 // order and enumeration is lexicographic, the result arrives sorted and
 // distinct — trailing (existential) variables are short-circuited after the
 // first witness, so no dedup pass is needed. capHint, when positive,
-// pre-sizes the output (callers pass the AGM bound r^fhw).
+// pre-sizes the output (callers pass the planner's estimate of the table).
 func LeapfrogJoin(tables []*Table, order []int, nOut, capHint int) *Table {
 	cols := make([]*Columnar, len(tables))
 	for i, t := range tables {

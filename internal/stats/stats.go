@@ -7,10 +7,12 @@
 // which relations land in the λ labels (Greco & Scarcello, "Greedy
 // Strategies and Larger Islands of Tractability"). A Stats snapshot is what
 // turns the width engines into a cost-based planner: the compile pipeline
-// derives per-edge cardinalities from it, the heuristic engines break width
-// ties toward cheaper λ placements, the auto race ranks entrants by the
-// AGM-style estimate Cost(node) = Π_{R∈λ} |R|^weight, and the evaluator
-// orders its joins by ascending estimated cardinality.
+// derives per-edge rows, variables and distinct counts from it (EdgeStats),
+// every layer prices a bag at the smaller of the AGM bound Π_{R∈λ} |R|^w
+// and the System-R estimate of its λ-join, the heuristic engines break
+// width ties toward cheaper λ placements, the auto race breaks
+// fractional-width ties by that estimate, and the evaluator orders its
+// joins connected-first by ascending estimated cardinality.
 //
 // A Stats value is immutable after collection and safe for concurrent use.
 // It is a snapshot: statistics do not track later database mutations, and a

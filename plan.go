@@ -38,9 +38,10 @@ type Plan struct {
 	kernel       hdeval.Kernel // intra-bag join kernel (chain when unset)
 
 	// cost-based planning state (nil/zero without WithStats/WithCostModel)
-	stats    *stats.Stats
-	edgeRows []float64 // per-hypergraph-edge cardinality estimates
-	estCost  float64   // Σ over nodes of the annotated EstRows
+	stats     *stats.Stats
+	edgeStats *stats.EdgeStats // per-hypergraph-edge estimates, derived once from stats
+	estCost   float64          // Σ over nodes of the annotated EstRows
+	costRank  bool             // the decomposer ranked candidates by estimated cost
 
 	// observability state. trace is the WithTrace default execution trace
 	// (nil without the option); lastTrace is the most recent traced
@@ -120,10 +121,9 @@ func WithDecomposer(d Decomposer) CompileOption {
 // under the shared context and step-budget plumbing, and keeps the result
 // of lowest achieved fractional width — the evaluation-cost exponent —
 // with ties broken by guarantee strength (exact HD, then fhd, then ghd).
-// With statistics (WithStats/WithCostModel) the race ranks entrants by
-// estimated total evaluation cost against the actual relation
-// cardinalities instead of width alone, falling back to the width ranking
-// when no statistics are given.
+// With statistics (WithStats/WithCostModel) entrants of equal fractional
+// width are first ranked by estimated total evaluation cost against the
+// actual relations; the estimate never overrides a lower width.
 // The exact entrant runs under WithStepBudget's budget, or
 // DefaultRaceExactBudget when none is set, so the race always terminates;
 // engines that fail just drop out. The winner is recorded in
@@ -283,8 +283,8 @@ func compilePlan(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, erro
 			Workers:    cfg.workers,
 		}
 		if cfg.stats != nil {
-			p.edgeRows = edgeRowsFor(q, edgeToAtom, cfg.stats)
-			req.EdgeRows = p.edgeRows
+			p.edgeStats = edgeStatsFor(q, h, edgeToAtom, cfg.stats)
+			req.Stats = p.edgeStats
 		}
 		switch {
 		case h.NumEdges() == 0:
@@ -295,12 +295,14 @@ func compilePlan(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, erro
 				return nil, err
 			}
 			p.decomposer = "auto(" + win.name + ")"
+			p.costRank = true
 			p.generalized = win.generalized
 			p.fractional = win.fractional
 			dec = win.dec
 		default:
 			d := cfg.chosenDecomposer()
 			p.decomposer = d.Name()
+			p.costRank = ranksByCost(d)
 			if f, ok := d.(FractionalWidthDecomposer); ok && f.Fractional() {
 				p.fractional, p.generalized = true, true
 			} else if g, ok := d.(GeneralizedDecomposer); ok && g.Generalized() {
@@ -338,30 +340,17 @@ func compilePlan(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, erro
 				return nil, fmt.Errorf("hypertree: decomposer %q produced an invalid decomposition: %w", p.decomposer, err)
 			}
 		}
-		if p.edgeRows != nil {
-			// Stamp the cost estimates on the tree once, refine them with the
-			// distinct-count cross-product bound, and remember the total: the
-			// plan is immutable afterwards, so Explain and the evaluator's
-			// join ordering read the same numbers forever. Annotate a clone —
-			// a pluggable Decomposer may legally return a shared or memoised
-			// tree, which must not be written to.
+		if p.edgeStats != nil {
+			// Stamp the estimates on the tree once and remember the total:
+			// the plan is immutable afterwards, so Explain and the
+			// evaluator's join ordering read the same numbers forever.
+			// Annotate a clone — a pluggable Decomposer may legally return a
+			// shared or memoised tree, which must not be written to.
 			dec = dec.Clone()
-			dec.AnnotateCosts(p.edgeRows)
-			refineEstimates(q, edgeToAtom, cfg.stats, dec)
-			p.estCost = 0
-			for _, n := range dec.Nodes() {
-				p.estCost += n.EstRows
-			}
+			p.estCost = dec.AnnotateCosts(p.edgeStats)
 		}
 		p.dec = dec
-		var es *stats.EdgeStats
-		if cfg.stats != nil {
-			es = &stats.EdgeStats{
-				Rows:     p.edgeRows,
-				Distinct: edgeDistinctFor(q, edgeToAtom, cfg.stats),
-			}
-		}
-		p.eval, err = hdeval.NewEvaluatorCost(q, dec, es, p.JoinKernel())
+		p.eval, err = hdeval.NewEvaluatorCost(q, dec, p.edgeStats, p.JoinKernel())
 		if err != nil {
 			return nil, err
 		}

@@ -21,11 +21,11 @@ import (
 // the same scale hdbench E22 uses.
 const DefaultRaceExactBudget = 200_000
 
-// costTieRel is the relative tolerance under which two entrants' estimated
-// total costs count as a tie in the cost-based race, letting the fractional
-// width (and then the guarantee order) break it. 1e-4 comfortably absorbs
-// the simplex epsilon noise in LP cover weights (r^0.999999 vs r) while
-// staying far below any genuine plan-cost separation.
+// costTieRel is the relative tolerance under which two equal-width
+// entrants' estimated total costs count as a tie, letting guarantee
+// strength break it. 1e-4 comfortably absorbs the simplex epsilon noise in
+// LP cover weights (r^0.999999 vs r) while staying far below any genuine
+// plan-cost separation.
 const costTieRel = 1e-4
 
 // raceEntrant is one engine in the adaptive-strategy race.
@@ -45,20 +45,21 @@ type raceOutcome struct {
 }
 
 // raceDecomposers runs the exact, fractional and greedy engines
-// concurrently on h and picks the winner. Without statistics the ranking is
-// by achieved fractional width (the evaluation-cost exponent — by the AGM
-// bound a node table holds at most r^fw tuples), ties broken by guarantee
-// strength in the fixed order exact > fhd > ghd. With statistics
-// (req.EdgeRows non-nil) the ranking is by estimated total evaluation cost
-// — Σ over nodes of Π_{R∈λ} |R|^w, the same AGM bound priced against the
-// actual relation cardinalities instead of a uniform r — with ties broken
-// by fractional width and then guarantee strength; each entrant also
-// receives the statistics, so the heuristics surface their cheapest
-// same-width candidates for the race to judge. Every entrant observes ctx
-// and its own step budget, so the race always terminates: the exact engine
-// gets req.StepBudget or DefaultRaceExactBudget, the polynomial heuristics
-// req.StepBudget as given. Entrants that fail (budget, width bound, or any
-// other reason) simply drop out; if all fail, the joined errors surface.
+// concurrently on h and picks the winner. The ranking is by achieved
+// fractional width first — the evaluation-cost exponent, by the AGM bound
+// a node table holds at most r^fw tuples, and the only worst-case
+// guarantee an estimate cannot overturn. With statistics (req.Stats or
+// req.EdgeRows) entrants within decomp.FracEps of the best width are then
+// ranked by estimated total evaluation cost (decomp.CostWith: per node the
+// smaller of the AGM bound and the System-R estimate of the λ-join), and
+// remaining ties go to guarantee strength in the fixed order exact > fhd >
+// ghd. Each entrant also receives the statistics, so the heuristics
+// surface their cheapest same-width candidates for the race to judge.
+// Every entrant observes ctx and its own step budget, so the race always
+// terminates: the exact engine gets req.StepBudget or
+// DefaultRaceExactBudget, the polynomial heuristics req.StepBudget as
+// given. Entrants that fail (budget, width bound, or any other reason)
+// simply drop out; if all fail, the joined errors surface.
 func raceDecomposers(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*raceOutcome, error) {
 	exact := KDecomposer()
 	if req.Workers > 1 {
@@ -95,31 +96,21 @@ func raceDecomposers(ctx context.Context, h *Hypergraph, req DecomposeRequest) (
 	}
 	wg.Wait()
 
+	es := req.edgeStats(h)
+	costs := make([]float64, len(results))
 	win := -1
-	winFW, winCost := 0.0, 0.0
+	winFW := 0.0
 	for i, r := range results {
 		if r.err != nil || r.d == nil {
 			continue
 		}
 		fw := r.d.FractionalWidth()
-		switch {
-		case req.EdgeRows != nil:
-			// Cost-based ranking: lower estimated total cost wins; within
-			// the relative tie band the lower fractional width (then the
-			// entrant order's guarantee strength) decides. The band must be
-			// relative — costs span many orders of magnitude, and the LP
-			// entrant's float-dust weights (0.999999·w) shave absolute
-			// amounts far above any fixed epsilon, which would make the
-			// width/guarantee fallback unreachable.
-			cost := r.d.CostWith(req.EdgeRows)
-			if win < 0 || cost < winCost*(1-costTieRel) ||
-				(cost < winCost*(1+costTieRel) && fw < winFW-decomp.FracEps) {
-				win, winFW, winCost = i, fw, cost
-			}
-		default:
-			if win < 0 || fw < winFW-decomp.FracEps {
-				win, winFW = i, fw
-			}
+		if es != nil {
+			costs[i] = r.d.CostWith(es)
+		}
+		if win < 0 || fw < winFW-decomp.FracEps ||
+			(fw < winFW+decomp.FracEps && costs[i] < costs[win]*(1-costTieRel)) {
+			win, winFW = i, fw
 		}
 	}
 	// Trace the entrants only now that the verdict is known: a span per
@@ -137,8 +128,8 @@ func raceDecomposers(ctx context.Context, h *Hypergraph, req DecomposeRequest) (
 				label += " no decomposition"
 			default:
 				label += fmt.Sprintf(" width=%d fhw=%.4g", r.d.Width(), r.d.FractionalWidth())
-				if req.EdgeRows != nil {
-					label += fmt.Sprintf(" cost=%.4g", r.d.CostWith(req.EdgeRows))
+				if es != nil {
+					label += fmt.Sprintf(" cost=%.4g", costs[i])
 				}
 			}
 			if i == win {

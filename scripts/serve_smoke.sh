@@ -8,7 +8,9 @@
 # least one histogram-bucket exemplar annotation), check the OTel export
 # file is non-empty valid JSON, and fail if any request came back non-2xx or
 # the PlanCache hit rate over the burst was zero. The server runs with
-# -slowquery-ms 1 so the slow-query JSON log is exercised too.
+# -slowquery-ms 1 so the slow-query JSON log is exercised too. The plans of
+# the five serving-pool templates are fetched from /admin/explain, and the
+# smoke fails if any bag is marked cross-product.
 #
 # Act 2 (churn): boot a second hdserve with the q-error feedback trigger
 # armed, run hdload -churn against it — baseline load, skewed ingest into
@@ -63,6 +65,9 @@ echo "serve-smoke: hdserve on $addr (1-in-2 sampling, OTel file export)"
 go run ./scripts/smokecheck -metrics "http://$addr/admin/metrics" \
     -want-exemplars "$workdir/load.json"
 
+# No served plan may join a bag's λ edges as a cross product.
+go run ./scripts/smokecheck -explain "http://$addr"
+
 # The OTel export file must hold newline-delimited OTLP/JSON payloads.
 if [ ! -s "$workdir/otel.jsonl" ]; then
     echo "serve-smoke: OTel export file is empty" >&2
@@ -97,21 +102,23 @@ echo "serve-smoke: $slow slow-query log lines"
 
 # ---- Act 2: churn → q-error spike → triggered refresh → recovery ----
 #
-# The cycle mix keeps the workload to cycle4, whose decomposition carries a
-# single-relation node (λ{r4}) with a near-perfect baseline estimate — so
-# skewing r4 moves that node's median q-error by exactly the growth factor
-# (~1400× here), far above the 1000 threshold, while the worst steady-state
-# node stays well below it.
+# The cycle mix keeps the workload to cycle4, whose two bags each join r4
+# or its neighbours through a shared variable. Skewing r4 from 100 to
+# ~138k rows over the full 500-value domain moves the r4 bag's median
+# q-error from ≈ 5 at baseline to ≈ 260: the join estimate grows with
+# |r4| but divides by the distinct count of the join variable, which the
+# skew raises about fivefold. The 100 threshold sits 20× above the
+# baseline and well below the skewed median.
 
 rm -f "$workdir/port"
 "$workdir/hdserve" -addr 127.0.0.1:0 -gen-rows 100 -gen-domain 500 -gen-seed 7 \
-    -trace-sample 2 -qerror-threshold 1000 -qerror-window 4 -refresh-cooldown 2s \
+    -trace-sample 2 -qerror-threshold 100 -qerror-window 4 -refresh-cooldown 2s \
     -portfile "$workdir/port" 2> "$workdir/hdserve-churn.log" &
 server_pid=$!
 
 wait_port "$workdir/port"
 addr="$(cat "$workdir/port")"
-echo "serve-smoke: churn hdserve on $addr (q-error threshold 1000)"
+echo "serve-smoke: churn hdserve on $addr (q-error threshold 100)"
 
 "$workdir/hdload" -addr "$addr" -churn -duration 2s -workers 4 -skew 0 \
     -mix cycle -churn-rel r4 -churn-facts 200000 -churn-domain 500 \

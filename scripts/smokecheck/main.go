@@ -15,11 +15,14 @@
 //     counters, the statistics-refresh and trace-sampling counters, and the
 //     per-stage (compile, execute) latency histograms. -want-exemplars
 //     additionally requires at least one histogram bucket to carry an
-//     OpenMetrics exemplar annotation (servers run with -trace-sample).
+//     OpenMetrics exemplar annotation (servers run with -trace-sample);
+//   - -explain URL fetches BASE/admin/explain for every gen.ServingPool
+//     template and fails when a plan cannot be explained or carries a
+//     bag marked cross-product (λ edges that share no variables).
 //
 // Used by scripts/serve_smoke.sh.
 //
-// Usage: smokecheck [-metrics URL] [-want-exemplars] [load.json]
+// Usage: smokecheck [-metrics URL] [-want-exemplars] [-explain BASE] [load.json]
 package main
 
 import (
@@ -28,10 +31,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"regexp"
 	"strconv"
 	"strings"
+
+	"hypertree/internal/gen"
 )
 
 // cell is the slice of an hdload cell report smokecheck asserts on.
@@ -67,14 +73,18 @@ type report struct {
 func main() {
 	metricsURL := flag.String("metrics", "", "scrape this /admin/metrics URL and validate the Prometheus exposition")
 	wantExemplars := flag.Bool("want-exemplars", false, "require at least one histogram-bucket exemplar annotation in the scrape")
+	explainBase := flag.String("explain", "", "fetch BASE/admin/explain for every serving-pool template and fail on a cross-product bag")
 	flag.Parse()
-	if *metricsURL == "" && flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: smokecheck [-metrics URL] [-want-exemplars] [load.json]")
+	if *metricsURL == "" && *explainBase == "" && flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: smokecheck [-metrics URL] [-want-exemplars] [-explain BASE] [load.json]")
 		os.Exit(2)
 	}
 	ok := true
 	if *metricsURL != "" {
 		ok = checkMetrics(*metricsURL, *wantExemplars) && ok
+	}
+	if *explainBase != "" {
+		ok = checkExplain(*explainBase) && ok
 	}
 	if flag.NArg() == 1 {
 		ok = checkLoadReport(flag.Arg(0)) && ok
@@ -82,6 +92,32 @@ func main() {
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// checkExplain asserts that every serving-pool template explains and that
+// no served plan joins a bag's λ edges as a cross product.
+func checkExplain(base string) bool {
+	ok := true
+	for _, tpl := range gen.ServingPool() {
+		resp, err := http.Get(base + "/admin/explain?query=" + url.QueryEscape(tpl.Src))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "smokecheck:", err)
+			return false
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		switch {
+		case resp.StatusCode != http.StatusOK:
+			fmt.Fprintf(os.Stderr, "smokecheck: explain %s: status %d: %s\n", tpl.Name, resp.StatusCode, body)
+			ok = false
+		case strings.Contains(string(body), "cross-product"):
+			fmt.Fprintf(os.Stderr, "smokecheck: explain %s: plan has a cross-product bag:\n%s", tpl.Name, body)
+			ok = false
+		default:
+			fmt.Printf("smokecheck: explain %s ok — %s\n", tpl.Name, strings.SplitN(string(body), "\n", 2)[0])
+		}
+	}
+	return ok
 }
 
 // checkLoadReport asserts the hdload cells — requests served, zero errors,

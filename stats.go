@@ -54,12 +54,14 @@ const DefaultQErrorWindow = stats.DefaultQErrorWindow
 // snapshot is collected (CollectStatsSampled with the default bound) and
 // threaded through the whole planning pipeline — the heuristic engines
 // break width ties toward cheaper λ placements, the WithAutoStrategy race
-// ranks entrants by estimated total cost Σ_p Π_{R∈λ(p)} |R|^w instead of
-// width alone, the evaluator orders each node's λ-join and the semijoin
-// passes by ascending estimated cardinality, and Plan.Explain reports the
-// per-node estimates. Statistics never change answers — only which
-// same-width plan wins and in which order it joins; the equivalence is
-// property-tested across every engine and the sharded path. The snapshot is
+// breaks fractional-width ties by estimated total cost (per node the
+// smaller of the AGM bound Π_{R∈λ} |R|^w and the System-R estimate of the
+// λ-join), the evaluator orders each node's λ-join connected-first by
+// ascending estimated cardinality and the semijoin passes by ascending
+// estimated node size, and Plan.Explain reports the per-node estimates.
+// Statistics never change answers — only which same-width plan wins and in
+// which order it joins; the equivalence is property-tested across every
+// engine and the sharded path. The snapshot is
 // taken at compile time: a plan stays correct when the database drifts, but
 // recompile (plans compiled under different statistics are cached
 // separately, keyed by the snapshot's fingerprint) to re-rank. Use
@@ -95,45 +97,48 @@ func WithCostModel(s *Stats) CompileOption {
 	}
 }
 
+// EdgeStats is the per-hyperedge statistics value cost-based planning
+// threads through every layer: per-edge row estimates, the variables each
+// edge binds and their distinct counts, indexed by hypergraph edge id.
+// Compile derives it once from the WithStats/WithCostModel snapshot and
+// hands it to the decomposers in DecomposeRequest.Stats.
+type EdgeStats = stats.EdgeStats
+
 // EstimateCost prices a decomposition of q's hypergraph against a
-// statistics snapshot: Σ over nodes of Π_{R∈λ} |R|^w, the same AGM-style
-// estimate cost-based compilation minimises (without the distinct-count
-// refinement Plan.EstimatedCost additionally applies to its own nodes). It
-// lets experiments and tools compare plans compiled under different
-// rankings on one scale — e.g. how much cheaper the WithStats winner is
-// than the width-only winner.
+// statistics snapshot: the sum over nodes of min(AGM bound Π_{R∈λ} |R|^w,
+// System-R estimate of the λ-join), the same estimate cost-based
+// compilation minimises among plans of equal fractional width (without the
+// χ distinct-count cap Plan.EstimatedCost additionally applies to its own
+// nodes). It lets experiments and tools compare plans compiled under
+// different rankings on one scale — e.g. how much cheaper the WithStats
+// winner is than the width-only winner.
 func EstimateCost(q *Query, d *Decomposition, s *Stats) float64 {
 	if d == nil || s == nil {
 		return 0
 	}
-	_, edgeToAtom := q.Hypergraph()
-	return d.CostWith(edgeRowsFor(q, edgeToAtom, s))
+	h, edgeToAtom := q.Hypergraph()
+	return d.CostWith(edgeStatsFor(q, h, edgeToAtom, s))
 }
 
-// edgeRowsFor prices every hypergraph edge with the cardinality of the
-// relation backing its atom, producing the EdgeRows slice the decomposition
-// request, the race and the evaluator share. edgeToAtom is the mapping
-// returned by Query.Hypergraph.
-func edgeRowsFor(q *Query, edgeToAtom []int, s *Stats) []float64 {
-	rows := make([]float64, len(edgeToAtom))
-	for e, ai := range edgeToAtom {
-		rows[e] = float64(s.Rows(q.Atoms[ai].Pred))
+// edgeStatsFor extracts, once per compile, the EdgeStats every planning
+// layer prices bags with: per hypergraph edge the cardinality of the
+// relation backing its atom, the variables it binds, and for each variable
+// the smallest distinct-value count across the columns carrying it
+// (repeated variables act as an equality selection, so the minimum is the
+// sound survivor count). Columns the snapshot has never seen get 0, which
+// the consumers read as "unknown". edgeToAtom is the mapping returned by
+// Query.Hypergraph.
+func edgeStatsFor(q *Query, h *Hypergraph, edgeToAtom []int, s *Stats) *EdgeStats {
+	es := &EdgeStats{
+		Rows:     make([]float64, len(edgeToAtom)),
+		Vars:     make([][]int, len(edgeToAtom)),
+		Distinct: make([][]float64, len(edgeToAtom)),
 	}
-	return rows
-}
-
-// edgeDistinctFor extracts, per hypergraph edge, the variable→distinct-count
-// map the cost-aware kernel selector prices bags with: for each variable the
-// edge's atom binds, the smallest distinct-value count across the columns
-// carrying it (repeated variables act as an equality selection, so the
-// minimum is the sound survivor count). Columns the snapshot has never seen
-// are simply absent — the consumer defaults a missing variable to the row
-// count, the selectivity-free assumption.
-func edgeDistinctFor(q *Query, edgeToAtom []int, s *Stats) []map[int]float64 {
-	out := make([]map[int]float64, len(edgeToAtom))
 	for e, ai := range edgeToAtom {
 		atom := q.Atoms[ai]
-		dv := map[int]float64{}
+		es.Rows[e] = float64(s.Rows(atom.Pred))
+		vars := h.Edge(e).Elems()
+		dist := make([]float64, len(vars))
 		for col, t := range atom.Args {
 			if !t.IsVar {
 				continue
@@ -142,59 +147,14 @@ func edgeDistinctFor(q *Query, edgeToAtom []int, s *Stats) []map[int]float64 {
 			if !found {
 				continue
 			}
-			if c := s.Distinct(atom.Pred, col); c > 0 {
-				if cur, seen := dv[vi]; !seen || float64(c) < cur {
-					dv[vi] = float64(c)
+			c := float64(s.Distinct(atom.Pred, col))
+			for i, v := range vars {
+				if v == vi && c > 0 && (dist[i] == 0 || c < dist[i]) {
+					dist[i] = c
 				}
 			}
 		}
-		out[e] = dv
+		es.Vars[e], es.Distinct[e] = vars, dist
 	}
-	return out
-}
-
-// refineEstimates tightens the annotated per-node cardinality estimates
-// with the per-column distinct counts: the node's table is a set of
-// χ-tuples, so it can never exceed Π_{v∈χ} d(v), where d(v) is the smallest
-// distinct-value count of v across the λ atoms containing it (a semijoin
-// argument: every surviving binding of v appears in every λ relation of the
-// node). When that cross-product bound undercuts the AGM bound Π |R|^w the
-// node keeps the smaller estimate. Estimates feed ordering and Explain
-// only — never answers — so the refinement is free to be approximate.
-func refineEstimates(q *Query, edgeToAtom []int, s *Stats, d *Decomposition) {
-	for _, n := range d.Nodes() {
-		bound := 1.0
-		ok := true
-		n.Chi.ForEach(func(v int) {
-			if !ok {
-				return
-			}
-			dv := 0
-			n.Lambda.ForEach(func(e int) {
-				if e >= len(edgeToAtom) {
-					return
-				}
-				atom := q.Atoms[edgeToAtom[e]]
-				for col, t := range atom.Args {
-					if !t.IsVar {
-						continue
-					}
-					if vi, found := q.VarIndex(t.Name); !found || vi != v {
-						continue
-					}
-					if c := s.Distinct(atom.Pred, col); c > 0 && (dv == 0 || c < dv) {
-						dv = c
-					}
-				}
-			})
-			if dv <= 0 {
-				ok = false // v unseen in the statistics: no bound through it
-				return
-			}
-			bound *= float64(dv)
-		})
-		if ok && bound < n.EstRows {
-			n.EstRows = bound
-		}
-	}
+	return es
 }
